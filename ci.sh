@@ -1,12 +1,14 @@
 #!/bin/sh
 # Offline-first CI gate. The workspace has zero third-party dependencies,
 # so everything here must pass with no network access (--offline).
-# dso-bench is excluded from the workspace (criterion/rand need a registry)
-# and is NOT built here.
+# dso-bench (the figure/table binaries) is a workspace member: it is built,
+# linted and tested with the rest, and the test stage diffs the Table-1
+# binary's stdout against the committed results/table1.txt.
 #
 # Usage: ./ci.sh [lint|test]
 #   lint — fmt check, clippy, rustdoc (the static stages)
-#   test — build, tests, bench, resume drill, serve drill (the run stages)
+#   test — build, tests, Table 1, bench, resume drill, serve drill (the
+#          run stages)
 # With no argument both groups run, in lint-first order. The GitHub
 # workflow runs the two groups as parallel jobs.
 set -eu
@@ -48,13 +50,18 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
     echo "==> test (offline)"
     cargo test --workspace -q --offline
 
+    echo "==> table1 (release, stdout must match results/table1.txt)"
+    # Regenerates the paper's Table 1 (about a minute on a 2-core host) and
+    # fails on any byte of difference from the committed table. Progress
+    # lines go to stderr and are not compared.
+    cargo run --release -q --offline -p dso-bench --bin table1 | diff results/table1.txt -
+
     echo "==> bench (release, emits BENCH_campaign.json + results/ copy)"
     # Times serial vs parallel campaigns and exits non-zero if the parallel
     # output diverges from serial, the warm-start saving regresses below 20%,
     # the cached repeat campaign is less than 5x faster than its cold run (the
     # evaluation-cache gate; hit rate and dedup count land in the JSON), the
-    # batched lanes=8 campaign is slower than (or diverges from) the cold
-    # scalar solver, the modified-Newton fast path is less than 1.5x the
+    # modified-Newton fast path is less than 1.5x the
     # legacy full-Newton throughput (or reuses fewer than half its LU
     # factorizations, or shifts the extracted border), the three-design
     # sweep shares no healthy-reference grid across its equal-plan designs

@@ -51,9 +51,7 @@ impl AsciiChart {
             .series
             .iter()
             .flat_map(|(_, pts)| pts.iter().copied())
-            .filter(|(x, y)| {
-                x.is_finite() && y.is_finite() && (!self.log_x || *x > 0.0)
-            })
+            .filter(|(x, y)| x.is_finite() && y.is_finite() && (!self.log_x || *x > 0.0))
             .collect();
         if all.is_empty() {
             out.push_str("(no data)\n");
@@ -81,10 +79,10 @@ impl AsciiChart {
                 if !x.is_finite() || !y.is_finite() || (self.log_x && x <= 0.0) {
                     continue;
                 }
-                let cx = ((tx(x) - x_min) / (x_max - x_min) * (self.width - 1) as f64)
-                    .round() as usize;
-                let cy = ((y - y_min) / (y_max - y_min) * (self.height - 1) as f64)
-                    .round() as usize;
+                let cx =
+                    ((tx(x) - x_min) / (x_max - x_min) * (self.width - 1) as f64).round() as usize;
+                let cy =
+                    ((y - y_min) / (y_max - y_min) * (self.height - 1) as f64).round() as usize;
                 let row = self.height - 1 - cy.min(self.height - 1);
                 canvas[row][cx.min(self.width - 1)] = mark;
             }
@@ -113,19 +111,10 @@ impl AsciiChart {
         };
         out.push_str(&format!(
             "{:>12}{}: {} .. {}   ({})\n",
-            "",
-            self.x_label,
-            x_lo,
-            x_hi,
-            self.y_label
+            "", self.x_label, x_lo, x_hi, self.y_label
         ));
         for (si, (name, _)) in self.series.iter().enumerate() {
-            out.push_str(&format!(
-                "{:>12}{} {}\n",
-                "",
-                MARKS[si % MARKS.len()],
-                name
-            ));
+            out.push_str(&format!("{:>12}{} {}\n", "", MARKS[si % MARKS.len()], name));
         }
         out
     }

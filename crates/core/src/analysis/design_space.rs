@@ -434,7 +434,7 @@ impl DesignSweepResult {
 /// Runs the one-pass cross-design sweep.
 ///
 /// `template` supplies the recovery policy and solver tuning every
-/// per-design analyzer inherits; `config` supplies threads/chunk/lanes
+/// per-design analyzer inherits; `config` supplies threads/chunk/warm-start
 /// for each campaign. Designs sharing an expanded plan share one
 /// evaluation service, so their grids dedup through the memo cache.
 ///

@@ -5,7 +5,6 @@
 //!
 //! * `DSO_THREADS` — campaign worker threads,
 //! * `DSO_CHUNK` — sweep points per work chunk,
-//! * `DSO_LANES` — batched-solver lane width (1 = scalar),
 //! * `DSO_SERVE_WORKERS` / `DSO_SERVE_QUEUE` / `DSO_SERVE_MAX_FRAME` —
 //!   service-daemon worker count, admission-queue capacity, and frame
 //!   size limit (read by [`crate::service::ServeConfig::from_env`],

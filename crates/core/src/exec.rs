@@ -73,14 +73,6 @@ pub struct CampaignConfig {
     /// Seed each point's transients from its chunk predecessor's converged
     /// traces.
     pub warm_start: bool,
-    /// Batched-solver lane width: how many independent sweep points the
-    /// evaluation service advances per Newton iteration through the
-    /// structure-of-arrays backend (see [`dso_num::batch`]). `1` (the
-    /// default) keeps the scalar path — including warm-start chaining —
-    /// bit-for-bit. Widths above 1 run every point cold (lane batching and
-    /// warm-start seeds are mutually exclusive), producing bits identical
-    /// to a scalar run with `warm_start` disabled at any thread count.
-    pub lanes: usize,
 }
 
 impl Default for CampaignConfig {
@@ -96,7 +88,6 @@ impl CampaignConfig {
             threads: 1,
             chunk: DEFAULT_CHUNK,
             warm_start: true,
-            lanes: 1,
         }
     }
 
@@ -109,10 +100,8 @@ impl CampaignConfig {
     }
 
     /// Reads the thread count from the `DSO_THREADS` environment variable
-    /// (falling back to [`std::thread::available_parallelism`]), the chunk
-    /// size from `DSO_CHUNK` (falling back to [`DEFAULT_CHUNK`]), and the
-    /// batched-solver lane width from `DSO_LANES` (falling back to `1`,
-    /// the scalar path).
+    /// (falling back to [`std::thread::available_parallelism`]) and the
+    /// chunk size from `DSO_CHUNK` (falling back to [`DEFAULT_CHUNK`]).
     ///
     /// Invalid or zero values never panic and never silently misconfigure
     /// the campaign: the offending variable falls back to its default and a
@@ -127,12 +116,9 @@ impl CampaignConfig {
             });
         let chunk = crate::env::positive_usize("DSO_CHUNK", "the default chunk size")
             .unwrap_or(DEFAULT_CHUNK);
-        let lanes =
-            crate::env::positive_usize("DSO_LANES", "the scalar solver (1 lane)").unwrap_or(1);
         CampaignConfig {
             threads,
             chunk,
-            lanes,
             ..CampaignConfig::serial()
         }
     }
@@ -146,15 +132,6 @@ impl CampaignConfig {
     /// Enables or disables warm-start continuation.
     pub fn with_warm_start(mut self, enabled: bool) -> Self {
         self.warm_start = enabled;
-        self
-    }
-
-    /// Sets the batched-solver lane width (clamped to at least 1). Widths
-    /// above 1 route evaluation batches through the structure-of-arrays
-    /// Newton backend and run every point cold; see the
-    /// [`CampaignConfig::lanes`] field docs for the determinism contract.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
         self
     }
 }
@@ -670,15 +647,11 @@ mod tests {
         assert_eq!(cfg.threads, 1);
         let cfg = CampaignConfig::serial()
             .with_chunk(0)
-            .with_warm_start(false)
-            .with_lanes(0);
+            .with_warm_start(false);
         assert_eq!(cfg.chunk, 1);
         assert!(!cfg.warm_start);
-        assert_eq!(cfg.lanes, 1);
-        assert_eq!(CampaignConfig::serial().with_lanes(4).lanes, 4);
         let env_cfg = CampaignConfig::from_env();
         assert!(env_cfg.threads >= 1);
-        assert!(env_cfg.lanes >= 1);
     }
 
     #[test]

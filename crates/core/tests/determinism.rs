@@ -5,8 +5,10 @@
 //! faults — because chunk decomposition, warm-seed chains, and fault-plan
 //! resolution are keyed on sweep index, never on scheduling. This suite
 //! pins that contract, plus the warm-start payoff (fewer Newton
-//! iterations) and a loom-free interleaving smoke test that executes the
-//! chunks of a real simulation grid in a seeded-shuffled order.
+//! iterations), a loom-free interleaving smoke test that executes the
+//! chunks of a real simulation grid in a seeded-shuffled order, and a
+//! check that the modified-Newton fast path (LU reuse, device bypass)
+//! actually fires on a cold sweep.
 
 use dso_core::analysis::{Analyzer, CampaignFaults, PlaneCampaign};
 use dso_core::exec::{self, CampaignConfig};
@@ -16,6 +18,7 @@ use dso_dram::design::{ColumnDesign, OperatingPoint};
 use dso_num::chaos::{FaultKind, FaultPlan};
 use dso_num::interp::logspace;
 use dso_num::testing::TestRng;
+use dso_spice::SolverTuning;
 
 /// Coarse time step so debug-mode campaigns stay affordable.
 fn fast_design() -> ColumnDesign {
@@ -246,4 +249,47 @@ fn shuffled_chunk_interleaving_is_bit_identical() {
             "round {round}: order {order:?} diverged"
         );
     }
+}
+
+/// The 30-point cold reference sweep: one thread, warm start off, and the
+/// default [`SolverTuning`] pinned explicitly so `DSO_LU_REUSE` /
+/// `DSO_BYPASS_TOL` cannot switch the fast path off. A coarse time step
+/// keeps it affordable in debug mode.
+fn reference_30() -> (Vec<f64>, PlaneCampaign) {
+    let design = ColumnDesign {
+        dt_fraction: 1.0 / 100.0,
+        ..ColumnDesign::default()
+    };
+    let analyzer = Analyzer::new(design).with_tuning(SolverTuning::default());
+    let config = CampaignConfig::serial().with_warm_start(false);
+    let session = Session::from_parts(EvalService::new(analyzer), config);
+    let r_values = logspace(1e4, 1e7, 30).expect("valid sweep");
+    let reference = session
+        .planes(
+            &Defect::cell_open(BitLineSide::True),
+            &OperatingPoint::nominal(),
+            &r_values,
+            1,
+        )
+        .expect("campaign runs");
+    assert_eq!(reference.report.failed(), 0, "reference sweep is clean");
+    (r_values, reference)
+}
+
+#[test]
+fn reference_sweep_exercises_lu_reuse_and_bypass() {
+    // The fast path must actually fire on the reference sweep, or every
+    // identity test above is vacuous: under default tuning the
+    // modified-Newton policy should reuse more factorizations than it
+    // builds, and the device bypass should land hits.
+    let (_, reference) = reference_30();
+    assert!(
+        reference.perf.lu_reuse_rate() > 0.5,
+        "LU reuse rate {:.2} never cleared 0.5 on the reference sweep",
+        reference.perf.lu_reuse_rate()
+    );
+    assert!(
+        reference.perf.bypass_hits > 0,
+        "device bypass never hit on the reference sweep"
+    );
 }

@@ -50,4 +50,4 @@ pub mod timing;
 
 pub use design::{ColumnDesign, DesignConfig, DesignPlan, OperatingPoint, ReferenceScheme};
 pub use error::DramError;
-pub use ops::{run_batch, BatchJob, Operation, OperationEngine};
+pub use ops::{Operation, OperationEngine};

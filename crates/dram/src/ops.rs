@@ -12,10 +12,8 @@ use crate::column::{nodes, sources, Column};
 use crate::design::{BitLineSide, ColumnDesign, OperatingPoint};
 use crate::timing::{ControlWaveforms, CycleSchedule};
 use crate::DramError;
-use dso_num::batch::BatchBackend;
 use dso_num::chaos::FaultPlan;
-use dso_spice::circuit::Circuit;
-use dso_spice::engine::{transient_lockstep, Simulator, SolverTuning, TranOptions, TranResult};
+use dso_spice::engine::{Simulator, SolverTuning, TranOptions, TranResult};
 use dso_spice::recovery::{RecoveryPolicy, RecoveryStats};
 use dso_spice::waveform::Waveform;
 
@@ -275,12 +273,6 @@ impl OperationEngine {
         self
     }
 
-    /// The Newton options the engine's simulators solve with — what a
-    /// lockstep backend must be built from to stay bit-identical.
-    pub fn newton_options(&self) -> dso_num::newton::NewtonOptions {
-        self.tuning.newton_options()
-    }
-
     /// The targeted victim side.
     pub fn victim(&self) -> BitLineSide {
         self.victim
@@ -343,17 +335,6 @@ impl OperationEngine {
         span.note("ops", ops_seq.len() as f64);
         dso_obs::counter!("dram.op_runs").incr();
         dso_obs::counter!("dram.ops").add(ops_seq.len() as u64);
-        let prepared = self.prepare_run(ops_seq, vc_init)?;
-        let sim = self.simulator_for(&prepared.ckt);
-        let tran = sim.transient_seeded(&prepared.tran_opts, seed.map(|s| s.tran()))?;
-        self.extract_trace(ops_seq, tran, &prepared)
-    }
-
-    /// Builds the waveform-installed scratch circuit and transient options
-    /// for one run of `ops_seq`. Pure netlist/waveform work — no simulator
-    /// is involved, so a failure here is deterministic and
-    /// backend-independent.
-    fn prepare_run(&self, ops_seq: &[Operation], vc_init: f64) -> Result<PreparedRun, DramError> {
         let design: &ColumnDesign = self.column.design();
         let op = &self.op_point;
         let waves = ControlWaveforms::build(ops_seq, self.victim, design, op)?;
@@ -415,45 +396,25 @@ impl OperationEngine {
         let tran_opts = TranOptions::new(waves.t_stop, dt)
             .map_err(DramError::Spice)?
             .with_ic(ics);
-        Ok(PreparedRun {
-            ckt,
-            tran_opts,
-            t_stop: waves.t_stop,
-            observe_at: schedule.observe_at(),
-        })
-    }
-
-    /// Builds the simulator for a prepared run's circuit, carrying the
-    /// engine's temperature, recovery policy, solver tuning, and armed
-    /// fault plan.
-    fn simulator_for<'a>(&self, ckt: &'a Circuit) -> Simulator<'a> {
-        let mut sim = Simulator::new(ckt)
-            .with_temperature(self.op_point.temp_c)
+        let mut sim = Simulator::new(&ckt)
+            .with_temperature(op.temp_c)
             .with_recovery(self.recovery)
             .with_tuning(self.tuning);
         if let Some(plan) = &self.fault_plan {
             sim = sim.with_fault_plan(plan.clone());
         }
-        sim
-    }
+        let tran = sim.transient_seeded(&tran_opts, seed.map(|s| s.tran()))?;
 
-    /// Extracts per-cycle results from a finished transient. The physical
-    /// cell voltage is taken at the capacitor plate (`ct`), matching the
-    /// paper's "voltage across the cell capacitor".
-    fn extract_trace(
-        &self,
-        ops_seq: &[Operation],
-        tran: TranResult,
-        prepared: &PreparedRun,
-    ) -> Result<OpTrace, DramError> {
-        let tcyc = self.op_point.tcyc;
+        // Extract per-cycle results. The physical cell voltage is taken at
+        // the capacitor plate (`ct`), matching the paper's "voltage across
+        // the cell capacitor".
         let storage_node = nodes::cap_top(self.victim);
         let mut cycles = Vec::with_capacity(ops_seq.len());
         for (k, &operation) in ops_seq.iter().enumerate() {
-            let t_end = ((k + 1) as f64 * tcyc).min(prepared.t_stop);
+            let t_end = ((k + 1) as f64 * op.tcyc).min(waves.t_stop);
             let vc_end = tran.voltage_at(&storage_node, t_end)?;
             let read = if operation == Operation::R {
-                let t_obs = (k as f64 + prepared.observe_at) * tcyc;
+                let t_obs = (k as f64 + schedule.observe_at()) * op.tcyc;
                 let diff =
                     tran.voltage_at(nodes::BT, t_obs)? - tran.voltage_at(nodes::BC, t_obs)?;
                 Some(ReadOutcome {
@@ -473,87 +434,9 @@ impl OperationEngine {
             cycles,
             tran,
             storage_node,
-            tcyc,
+            tcyc: op.tcyc,
         })
     }
-}
-
-/// Everything [`OperationEngine::run_seeded`] builds before handing the
-/// circuit to the simulator: the waveform-installed scratch circuit, the
-/// transient options, and the extraction timing metadata.
-struct PreparedRun {
-    ckt: Circuit,
-    tran_opts: TranOptions,
-    t_stop: f64,
-    observe_at: f64,
-}
-
-/// One lane of a [`run_batch`] call: an engine (column + operating point +
-/// victim), the operation sequence to run on it, and the victim cell's
-/// initial voltage.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchJob<'a> {
-    /// The engine (column, operating point, victim side) for this lane.
-    pub engine: &'a OperationEngine,
-    /// The operation sequence to run.
-    pub ops: &'a [Operation],
-    /// Victim cell capacitor voltage at `t = 0` (volts).
-    pub vc_init: f64,
-}
-
-/// Runs one operation sequence per lane in lockstep through a batched
-/// Newton backend (see [`dso_spice::engine::transient_lockstep`]).
-///
-/// Every lane's trace is bit-identical to
-/// [`OperationEngine::run`] of the same job alone: lanes the lockstep path
-/// cannot serve bit-identically (armed fault plans, mismatched backend
-/// options, any lane leaving the happy path) transparently rerun scalar.
-/// Warm-start seeding is not available here — lanes run cold; callers that
-/// depend on seed chaining should stay on [`OperationEngine::run_seeded`].
-///
-/// The backend must be built from the engines'
-/// [`OperationEngine::newton_options`] (the tuning-adjusted defaults every
-/// [`Simulator`] uses) for the lockstep path to engage.
-pub fn run_batch<B: BatchBackend>(
-    backend: &mut B,
-    jobs: &[BatchJob<'_>],
-) -> Vec<Result<OpTrace, DramError>> {
-    let span = dso_obs::span("dram.op_batch");
-    span.note("lanes", jobs.len() as f64);
-    let mut results: Vec<Option<Result<OpTrace, DramError>>> = jobs.iter().map(|_| None).collect();
-    let mut prepared: Vec<PreparedRun> = Vec::with_capacity(jobs.len());
-    let mut lanes: Vec<usize> = Vec::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        dso_obs::counter!("dram.op_runs").incr();
-        dso_obs::counter!("dram.ops").add(job.ops.len() as u64);
-        match job.engine.prepare_run(job.ops, job.vc_init) {
-            Ok(p) => {
-                prepared.push(p);
-                lanes.push(i);
-            }
-            // Preparation is simulator-free and deterministic; the scalar
-            // path fails with this same error.
-            Err(e) => results[i] = Some(Err(e)),
-        }
-    }
-    let sims: Vec<Simulator<'_>> = lanes
-        .iter()
-        .zip(&prepared)
-        .map(|(&i, p)| jobs[i].engine.simulator_for(&p.ckt))
-        .collect();
-    let opts: Vec<TranOptions> = prepared.iter().map(|p| p.tran_opts.clone()).collect();
-    let trans = transient_lockstep(backend, &sims, &opts);
-    for ((&lane, p), tran) in lanes.iter().zip(&prepared).zip(trans) {
-        let job = &jobs[lane];
-        results[lane] = Some(match tran {
-            Ok(t) => job.engine.extract_trace(job.ops, t, p),
-            Err(e) => Err(DramError::Spice(e)),
-        });
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every lane resolved"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -671,61 +554,5 @@ mod tests {
     fn empty_sequence_rejected() {
         let err = engine(BitLineSide::True).run(&[], 0.0).unwrap_err();
         assert!(matches!(err, DramError::BadSequence(_)));
-    }
-
-    #[test]
-    fn run_batch_bit_identical_to_run() {
-        let mut engines = Vec::new();
-        for r in [2e6_f64, 5e5, 8e4] {
-            let mut eng = engine(BitLineSide::True);
-            eng.column_mut()
-                .set_defect_resistance(DefectSite::O3, BitLineSide::True, r)
-                .unwrap();
-            engines.push(eng);
-        }
-        let seq = [Operation::W0, Operation::R];
-        let jobs: Vec<BatchJob<'_>> = engines
-            .iter()
-            .map(|e| BatchJob {
-                engine: e,
-                ops: &seq,
-                vc_init: 2.4,
-            })
-            .collect();
-        // 3 lanes at width 4 also exercises the partial-tail pack.
-        let mut backend = dso_num::batch::backend_with_lanes(4, engines[0].newton_options());
-        let batched = run_batch(&mut backend, &jobs);
-        for (eng, got) in engines.iter().zip(&batched) {
-            let got = got.as_ref().unwrap();
-            let scalar = eng.run(&seq, 2.4).unwrap();
-            assert_eq!(scalar.cycles().len(), got.cycles().len());
-            for (a, b) in scalar.cycles().iter().zip(got.cycles()) {
-                assert_eq!(a.vc_end.to_bits(), b.vc_end.to_bits());
-                assert_eq!(a.read, b.read);
-            }
-            assert_eq!(scalar.recovery(), got.recovery());
-        }
-    }
-
-    #[test]
-    fn run_batch_reports_per_lane_errors() {
-        let eng = engine(BitLineSide::True);
-        let good = [Operation::R];
-        let jobs = [
-            BatchJob {
-                engine: &eng,
-                ops: &good,
-                vc_init: 2.4,
-            },
-            BatchJob {
-                engine: &eng,
-                ops: &[],
-                vc_init: 0.0,
-            },
-        ];
-        let mut backend = dso_num::batch::backend_with_lanes(2, eng.newton_options());
-        let out = run_batch(&mut backend, &jobs);
-        assert!(out[0].is_ok());
-        assert!(matches!(out[1], Err(DramError::BadSequence(_))));
     }
 }

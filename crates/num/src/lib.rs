@@ -6,13 +6,8 @@
 //!
 //! * [`matrix::DMatrix`] — a dense, row-major matrix with the usual algebra.
 //! * [`lu::LuFactor`] — dense LU factorization with partial pivoting.
-//! * [`sparse`] — triplet/CSC sparse matrices and a sparse LU solver for
-//!   scaled-up memory arrays.
 //! * [`newton`] — a damped Newton–Raphson driver used by the nonlinear DC and
 //!   transient solvers.
-//! * [`batch`] — a batched structure-of-arrays Newton/LU backend
-//!   ([`batch::BatchBackend`]) advancing a lane of independent systems per
-//!   iteration, bit-identical per lane to the scalar solver.
 //! * [`integrate`] — integration-method coefficients (backward Euler,
 //!   trapezoidal) for companion models, plus a reference ODE integrator used
 //!   in validation tests.
@@ -47,7 +42,6 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod batch;
 pub mod chaos;
 pub mod error;
 pub mod fingerprint;
@@ -57,7 +51,6 @@ pub mod lu;
 pub mod matrix;
 pub mod newton;
 pub mod roots;
-pub mod sparse;
 pub mod testing;
 pub mod trend;
 

@@ -9,7 +9,6 @@ use dso_num::lu::LuFactor;
 use dso_num::matrix::{norm_inf, DMatrix};
 use dso_num::newton::{NewtonOptions, NewtonSolver, NonlinearSystem};
 use dso_num::roots::{bisect_transition, brent, Scale};
-use dso_num::sparse::{SparseLu, Triplets};
 use dso_num::testing::TestRng;
 use dso_num::trend::{classify, Trend};
 use dso_num::NumError;
@@ -45,37 +44,6 @@ fn lu_solves_diag_dominant() {
         let ax = a.mul_vec(&x).expect("dimensions match");
         let resid: Vec<f64> = ax.iter().zip(&b).map(|(l, r)| l - r).collect();
         assert!(norm_inf(&resid) < 1e-9, "residual {}", norm_inf(&resid));
-    }
-}
-
-#[test]
-fn sparse_matches_dense() {
-    let mut rng = TestRng::new(0x1002);
-    for _ in 0..CASES {
-        let a = diag_dominant(&mut rng, 10);
-        let b = rng.vec(10, -5.0, 5.0);
-        let mut t = Triplets::new(10, 10);
-        for i in 0..10 {
-            for j in 0..10 {
-                if a[(i, j)] != 0.0 {
-                    t.push(i, j, a[(i, j)]);
-                }
-            }
-        }
-        let dense = LuFactor::new(&a)
-            .expect("nonsingular")
-            .solve(&b)
-            .expect("solves");
-        let sparse = SparseLu::new(&t.to_csc().expect("valid"))
-            .expect("nonsingular")
-            .solve(&b)
-            .expect("solves");
-        let diff: Vec<f64> = dense.iter().zip(&sparse).map(|(d, s)| d - s).collect();
-        assert!(
-            norm_inf(&diff) < 1e-8,
-            "dense vs sparse differ by {}",
-            norm_inf(&diff)
-        );
     }
 }
 
@@ -190,27 +158,6 @@ fn logspace_is_geometric() {
         let r0 = pts[1] / pts[0];
         for w in pts.windows(2) {
             assert!((w[1] / w[0] - r0).abs() < 1e-6 * r0);
-        }
-    }
-}
-
-#[test]
-fn triplets_duplicates_sum() {
-    let mut rng = TestRng::new(0x100a);
-    for _ in 0..CASES {
-        let count = rng.index_range(1, 40);
-        let mut t = Triplets::new(5, 5);
-        let mut reference = [0.0f64; 25];
-        for _ in 0..count {
-            let (r, c, v) = (rng.index(5), rng.index(5), rng.range(-10.0, 10.0));
-            t.push(r, c, v);
-            reference[r * 5 + c] += v;
-        }
-        let csc = t.to_csc().expect("finite values");
-        for r in 0..5 {
-            for c in 0..5 {
-                assert!((csc.get(r, c) - reference[r * 5 + c]).abs() < 1e-12);
-            }
         }
     }
 }

@@ -2,9 +2,7 @@
 //! [`Session`] API serial vs parallel, checks the determinism contract
 //! (parallel output bit-identical to serial), verifies the warm-start
 //! payoff, the evaluation-cache payoff (a cached repeat campaign must be
-//! at least 5x faster than its cold run, with identical bits), and the
-//! batched-solver payoff (a cold lanes=8 campaign must beat the cold
-//! scalar solver on points per second, with identical bits), and writes
+//! at least 5x faster than its cold run, with identical bits), and writes
 //! `BENCH_campaign.json` (schema per record:
 //! `{name, threads, wall_ms, points, newton_iters, cache_hit_rate,
 //! disk_hit_rate, lu_reuse_rate, bypass_hit_rate, dedup_waits,
@@ -29,8 +27,7 @@
 //! but wall-clock parity is all that can be observed. The process exits
 //! non-zero if parallel output diverges from serial, the warm-start
 //! iteration saving falls below 20%, the cached repeat campaign is less
-//! than 5x faster than (or diverges from) its cold run, the batched
-//! campaign is slower than (or diverges from) the cold scalar one, the
+//! than 5x faster than (or diverges from) its cold run, the
 //! modified-Newton fast path is less than 1.5x faster than the legacy
 //! full-Newton path (or reuses fewer than half its factorizations, or
 //! shifts the extracted border), or a
@@ -187,63 +184,6 @@ fn main() {
         }
     }
 
-    // --- batched solver: cold scalar vs lanes=8 points per second --------
-    // Lanes>1 runs every point cold (no warm-start chaining), so the fair
-    // scalar comparator is the cold path at one thread. The batched run
-    // must answer the same physics bit-for-bit *and* beat scalar on raw
-    // throughput — the payoff the SoA backend exists for.
-    let batch_cfg = CampaignConfig::with_threads(1).with_lanes(8);
-    let (scalar_batchref_ms, scalar_batchref) = median_of(REPEATS, || campaign(&serial_cold));
-    records.push(BenchRecord {
-        name: "plane_campaign/scalar-cold".into(),
-        threads: 1,
-        wall_ms: scalar_batchref_ms,
-        points: scalar_batchref.perf.points,
-        newton_iters: scalar_batchref.perf.newton_iters,
-        cache_hit_rate: scalar_batchref.perf.cache_hit_rate(),
-        disk_hit_rate: scalar_batchref.perf.disk_hit_rate(),
-        lu_reuse_rate: scalar_batchref.perf.lu_reuse_rate(),
-        bypass_hit_rate: scalar_batchref.perf.bypass_hit_rate(),
-        dedup_waits: 0,
-        serve_p99_ms: 0.0,
-        cross_design_dedup_rate: 0.0,
-    });
-    let (batch_ms, batched) = median_of(REPEATS, || campaign(&batch_cfg));
-    records.push(BenchRecord {
-        name: "plane_campaign/batched-lanes8".into(),
-        threads: 1,
-        wall_ms: batch_ms,
-        points: batched.perf.points,
-        newton_iters: batched.perf.newton_iters,
-        cache_hit_rate: batched.perf.cache_hit_rate(),
-        disk_hit_rate: batched.perf.disk_hit_rate(),
-        lu_reuse_rate: batched.perf.lu_reuse_rate(),
-        bypass_hit_rate: batched.perf.bypass_hit_rate(),
-        dedup_waits: 0,
-        serve_p99_ms: 0.0,
-        cross_design_dedup_rate: 0.0,
-    });
-    let pps = |points: usize, ms: f64| points as f64 / (ms / 1e3).max(1e-9);
-    let scalar_pps = pps(scalar_batchref.perf.points, scalar_batchref_ms);
-    let batch_pps = pps(batched.perf.points, batch_ms);
-    let batch_speedup = batch_pps / scalar_pps.max(1e-9);
-    println!(
-        "batched solver: scalar cold {:.0} ms ({:.2} points/s) -> lanes=8 {:.0} ms \
-         ({:.2} points/s, {:.2}x)",
-        scalar_batchref_ms, scalar_pps, batch_ms, batch_pps, batch_speedup
-    );
-    if batched.planes != scalar_batchref.planes
-        || batched.report != scalar_batchref.report
-        || batched.gaps() != scalar_batchref.gaps()
-    {
-        eprintln!("FAIL: batched (lanes=8) campaign diverged from cold scalar output");
-        failed = true;
-    }
-    if batch_speedup < 1.0 {
-        eprintln!("FAIL: batched campaign ran at {batch_speedup:.2}x scalar points/s (< 1.0x)");
-        failed = true;
-    }
-
     // --- modified-Newton fast path: legacy vs default tuning -------------
     // Both runs are cold scalar at one thread; the only difference is the
     // solver tuning, so the points-per-second ratio isolates the LU-reuse
@@ -293,6 +233,7 @@ fn main() {
         serve_p99_ms: 0.0,
         cross_design_dedup_rate: 0.0,
     });
+    let pps = |points: usize, ms: f64| points as f64 / (ms / 1e3).max(1e-9);
     let legacy_pps = pps(legacy.perf.points, legacy_ms);
     let mn_pps = pps(mn.perf.points, mn_ms);
     let modified_newton_speedup = mn_pps / legacy_pps.max(1e-9);
@@ -733,7 +674,6 @@ fn main() {
     let current = BenchBaseline {
         warm_iter_saving: saved,
         speedup_per_core: widest_speedup_per_core,
-        batch_speedup,
         modified_newton_speedup,
         cross_design_dedup_rate,
         serve_p99_ms,

@@ -14,7 +14,7 @@
 //!
 //! Tuning comes from the `DSO_SERVE_*` environment knobs (workers, queue
 //! capacity, frame limit, default deadline) plus the usual `DSO_THREADS`
-//! / `DSO_CHUNK` / `DSO_LANES` / `DSO_STORE` session settings; see the
+//! / `DSO_CHUNK` / `DSO_STORE` session settings; see the
 //! README's environment table.
 //!
 //! A quick smoke test over stdin/stdout:
