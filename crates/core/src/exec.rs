@@ -515,6 +515,7 @@ where
                     dso_obs::gauge!("exec.worker_utilization", nondet)
                         .set(busy.as_secs_f64() / wall);
                 }
+                dso_obs::metrics::flush();
             });
         }
     });

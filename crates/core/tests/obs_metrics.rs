@@ -48,6 +48,15 @@ fn deterministic_snapshot_is_bit_identical_across_thread_counts() {
             "threads = {threads}"
         );
         assert!(snap.counter("spice.transients") > 0, "threads = {threads}");
+        // Residual evaluations by kind: the campaign's warm-started points
+        // probe seeds, and every accepted solve revalidates exactly.
+        for name in [
+            "spice.residual_evals",
+            "spice.exact_residual_evals",
+            "spice.warm_probe_evals",
+        ] {
+            assert!(snap.counter(name) > 0, "{name}, threads = {threads}");
+        }
         assert!(snap.counter("dram.op_runs") > 0, "threads = {threads}");
         assert!(snap.counter("exec.chunks") > 0, "threads = {threads}");
 

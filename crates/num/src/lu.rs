@@ -1,15 +1,69 @@
-//! Dense LU factorization with partial pivoting.
+//! Dense LU factorization with partial pivoting and sparse triangular
+//! solves.
 //!
 //! Circuit matrices produced by modified nodal analysis are small (tens of
 //! unknowns for one DRAM column) but must be factored thousands of times per
 //! transient run, so the factorization is written for predictable, in-place
-//! performance rather than generality.
+//! performance rather than generality. They are also sparse: the 42-unknown
+//! column's L and U factors hold about a third of the dense entries. The
+//! factorization therefore records each row's nonzero columns of L and U
+//! as it goes, and the elimination and both substitutions loop over those
+//! lists only. Every skipped term is a product with an exact zero, so the
+//! results are bit-identical to the dense loops (DESIGN.md §11).
 
 use crate::matrix::DMatrix;
 use crate::NumError;
 
 /// Pivot magnitudes below this are treated as singular.
 pub const SINGULARITY_THRESHOLD: f64 = 1e-13;
+
+/// The nonzero entries of one triangle (strict L or strict U) of a
+/// factorization, row by row, columns ascending (compressed sparse rows).
+#[derive(Debug, Clone, Default)]
+struct Triangle {
+    /// Row `i` occupies `cols[ptr[i]..ptr[i + 1]]` and the same range of
+    /// `vals`.
+    ptr: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl Triangle {
+    /// Sizes the buffers for an `n`×`n` factor: room for every strict
+    /// triangle entry, so recording never reallocates.
+    fn reserve(&mut self, n: usize) {
+        let cap = n * n.saturating_sub(1) / 2;
+        self.ptr.resize(n + 1, 0);
+        self.cols.resize(cap, 0);
+        self.vals.resize(cap, 0.0);
+    }
+
+    /// Records row `i` from the dense `row` entries `cols_range`, keeping
+    /// the nonzero ones. Branchless: every entry is written at the next
+    /// free position, and the position only advances past a nonzero.
+    fn record(&mut self, i: usize, row: &[f64], cols_range: std::ops::Range<usize>) {
+        let mut pos = self.ptr[i];
+        for j in cols_range {
+            let v = row[j];
+            // `pos` stays below the number of entries seen so far, which
+            // the buffers (sized for the whole triangle) always exceed.
+            self.cols[pos] = j;
+            self.vals[pos] = v;
+            pos += usize::from(v != 0.0);
+        }
+        self.ptr[i + 1] = pos;
+    }
+
+    /// `sum − Σ vals·x[cols]` over row `i`, in ascending column order.
+    #[inline]
+    fn subtract_row(&self, i: usize, mut sum: f64, x: &[f64]) -> f64 {
+        let range = self.ptr[i]..self.ptr[i + 1];
+        for (&j, &v) in self.cols[range.clone()].iter().zip(&self.vals[range]) {
+            sum -= v * x[j];
+        }
+        sum
+    }
+}
 
 /// An LU factorization `P·A = L·U` of a square matrix, with partial
 /// pivoting.
@@ -36,9 +90,15 @@ pub struct LuFactor {
     lu: Vec<f64>,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
+    /// Dimension of a valid factorization; `0` while none is held (empty,
+    /// or the last refactor failed).
     n: usize,
     /// Sign of the permutation, for the determinant.
     perm_sign: f64,
+    /// Nonzeros of the strict lower triangle (L without its unit diagonal).
+    lower: Triangle,
+    /// Nonzeros of the strict upper triangle (U without its diagonal).
+    upper: Triangle,
 }
 
 impl LuFactor {
@@ -64,20 +124,24 @@ impl LuFactor {
             perm: Vec::new(),
             n: 0,
             perm_sign: 1.0,
+            lower: Triangle::default(),
+            upper: Triangle::default(),
         }
     }
 
     /// Refactorizes `a`, reusing this factorization's buffers. Once the
     /// stored buffers match `a`'s dimension (e.g. after a first
     /// [`LuFactor::new`] or `refactor_into` of the same size), this performs
-    /// no heap allocation — the per-timestep path of a transient simulation
-    /// depends on that.
+    /// no heap allocation, whatever `a`'s sparsity pattern — the
+    /// per-timestep path of a transient simulation depends on that.
     ///
     /// # Errors
     ///
-    /// Same contract as [`LuFactor::new`]. On error the stored factorization
-    /// is invalid and must not be used for solves.
+    /// Same contract as [`LuFactor::new`]. On error no factorization is
+    /// held: [`LuFactor::dim`] reads `0` until the next successful
+    /// refactor, so no caller can solve against a half-eliminated factor.
     pub fn refactor_into(&mut self, a: &DMatrix) -> Result<(), NumError> {
+        self.n = 0;
         if !a.is_square() {
             return Err(NumError::ShapeMismatch {
                 expected: "square matrix".into(),
@@ -89,13 +153,23 @@ impl LuFactor {
                 context: "LU input matrix".into(),
             });
         }
+        self.eliminate(a)?;
+        self.n = a.rows();
+        Ok(())
+    }
+
+    /// Gaussian elimination with partial pivoting of `a` into the stored
+    /// buffers, recording each row's L and U nonzeros as the row becomes
+    /// final (right after it is chosen as pivot row).
+    fn eliminate(&mut self, a: &DMatrix) -> Result<(), NumError> {
         let n = a.rows();
         self.lu.clear();
         self.lu.extend_from_slice(a.as_slice());
         self.perm.clear();
         self.perm.extend(0..n);
-        self.n = n;
         self.perm_sign = 1.0;
+        self.lower.reserve(n);
+        self.upper.reserve(n);
         let lu = &mut self.lu;
         let perm = &mut self.perm;
         let scale = a.max_abs().max(1.0);
@@ -125,13 +199,23 @@ impl LuFactor {
                 perm.swap(k, pivot_row);
                 self.perm_sign = -self.perm_sign;
             }
+            // Row k is now final: its L part was written by earlier steps
+            // and its U part is never touched again.
+            let row_k = &lu[k * n..(k + 1) * n];
+            self.lower.record(k, row_k, 0..k);
+            self.upper.record(k, row_k, k + 1..n);
             let pivot = lu[k * n + k];
+            let (u_lo, u_hi) = (self.upper.ptr[k], self.upper.ptr[k + 1]);
+            let u_cols = &self.upper.cols[u_lo..u_hi];
+            let u_vals = &self.upper.vals[u_lo..u_hi];
             for i in (k + 1)..n {
                 let factor = lu[i * n + k] / pivot;
                 lu[i * n + k] = factor;
                 if factor != 0.0 {
-                    for j in (k + 1)..n {
-                        lu[i * n + j] -= factor * lu[k * n + j];
+                    // Only the pivot row's nonzero columns change row i.
+                    let row_i = &mut lu[i * n..(i + 1) * n];
+                    for (&j, &u) in u_cols.iter().zip(u_vals) {
+                        row_i[j] -= factor * u;
                     }
                 }
             }
@@ -139,7 +223,8 @@ impl LuFactor {
         Ok(())
     }
 
-    /// Dimension of the factored matrix.
+    /// Dimension of the factored matrix, or `0` if no factorization is
+    /// held.
     pub fn dim(&self) -> usize {
         self.n
     }
@@ -162,6 +247,8 @@ impl LuFactor {
     }
 
     /// Solves `A·x = b`, writing the solution into `x` without allocating.
+    /// Both substitutions visit only the recorded nonzeros of L and U, in
+    /// the ascending column order of a dense substitution.
     ///
     /// # Panics
     ///
@@ -172,19 +259,11 @@ impl LuFactor {
         assert_eq!(x.len(), n, "solution length mismatch");
         // Forward substitution with permuted rhs: L·y = P·b.
         for i in 0..n {
-            let mut sum = b[self.perm[i]];
-            for (j, xj) in x.iter().enumerate().take(i) {
-                sum -= self.lu[i * n + j] * xj;
-            }
-            x[i] = sum;
+            x[i] = self.lower.subtract_row(i, b[self.perm[i]], x);
         }
         // Back substitution: U·x = y.
         for i in (0..n).rev() {
-            let mut sum = x[i];
-            for (j, xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                sum -= self.lu[i * n + j] * xj;
-            }
-            x[i] = sum / self.lu[i * n + i];
+            x[i] = self.upper.subtract_row(i, x[i], x) / self.lu[i * n + i];
         }
     }
 
@@ -328,6 +407,25 @@ mod tests {
         let rhs = [1.0, -2.0, 0.25];
         let x = f.solve(&rhs).unwrap();
         assert!(residual(&a, &x, &rhs) < 1e-12);
+    }
+
+    #[test]
+    fn failed_refactor_holds_no_factorization() {
+        let good = DMatrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
+        let singular = DMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
+        let mut non_finite = DMatrix::identity(2);
+        non_finite[(1, 0)] = f64::INFINITY;
+        let mut f = LuFactor::new(&good).unwrap();
+        for bad in [&singular, &non_finite, &DMatrix::zeros(2, 3)] {
+            assert!(f.refactor_into(bad).is_err());
+            assert_eq!(f.dim(), 0, "a failed refactor must not report a factor");
+            assert!(f.solve(&[1.0, 2.0]).is_err());
+            // A later successful refactor restores a usable factor.
+            f.refactor_into(&good).unwrap();
+            assert_eq!(f.dim(), 2);
+            let x = f.solve(&[1.0, 2.0]).unwrap();
+            assert!(residual(&good, &x, &[1.0, 2.0]) < 1e-12);
+        }
     }
 
     #[test]

@@ -113,32 +113,6 @@ impl DMatrix {
         self[(row, col)] += value;
     }
 
-    /// Copies another matrix's contents into this one, reshaping (but
-    /// reusing the allocation when the sizes already match). This is the
-    /// memcpy behind linear-base MNA stamping: the constant R/C/topology
-    /// stamps are built once and copied here on every Newton iteration.
-    pub fn copy_from(&mut self, other: &DMatrix) {
-        self.rows = other.rows;
-        self.cols = other.cols;
-        self.data.resize(other.data.len(), 0.0);
-        self.data.copy_from_slice(&other.data);
-    }
-
-    /// Writes the matrix–vector product `A · x` into `y` without
-    /// allocating (the hot-loop counterpart of [`DMatrix::mul_vec`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
-    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "mul_vec_into: x length mismatch");
-        assert_eq!(y.len(), self.rows, "mul_vec_into: y length mismatch");
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
-    }
-
     /// Returns the matrix–vector product `A · x`.
     ///
     /// # Errors

@@ -560,6 +560,42 @@ mod tests {
         assert!(solver.solve(&mut TwoDim, &mut x).is_err());
     }
 
+    /// `TwoDim` whose Jacobian reads all zeros while `broken` is set.
+    struct Breakable {
+        broken: bool,
+    }
+    impl NonlinearSystem for Breakable {
+        fn unknowns(&self) -> usize {
+            2
+        }
+        fn residual(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), NumError> {
+            TwoDim.residual(x, out)
+        }
+        fn jacobian(&mut self, x: &[f64], jac: &mut DMatrix) -> Result<(), NumError> {
+            if !self.broken {
+                TwoDim.jacobian(x, jac)?;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn solve_reusing_after_failed_refactor_refactors() {
+        let mut solver = NewtonSolver::new(NewtonOptions::default());
+        let mut system = Breakable { broken: true };
+        let mut x = vec![-1.0, 2.0];
+        let err = solver.solve(&mut system, &mut x).unwrap_err();
+        assert!(matches!(err, NumError::SingularMatrix { .. }));
+        // The failed factorization must not be reused: the follow-up solve
+        // refactors at iteration zero instead of back-substituting against
+        // a half-eliminated factor.
+        system.broken = false;
+        let mut x = vec![-1.0, 2.0];
+        let stats = solver.solve_reusing(&mut system, &mut x).unwrap();
+        assert!(stats.lu_refactors >= 1);
+        assert!((x[0] - 1.0).abs() < 1e-7, "{x:?}");
+    }
+
     #[test]
     fn solver_is_reusable() {
         let mut solver = NewtonSolver::new(NewtonOptions::default());

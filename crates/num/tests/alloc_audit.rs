@@ -4,7 +4,9 @@
 //! times; the per-timestep loop must not touch the heap once its scratch
 //! buffers are warm. This test wraps the global allocator with a
 //! thread-local counter and asserts that a warmed [`NewtonSolver`] solve
-//! and a warmed [`LuFactor::refactor_into`] perform zero allocations.
+//! and a warmed [`LuFactor::refactor_into`] perform zero allocations —
+//! also when the refactored matrix has a different sparsity pattern, whose
+//! L/U nonzero lists must fit the buffers sized at the first factor.
 
 use dso_num::lu::LuFactor;
 use dso_num::matrix::DMatrix;
@@ -130,5 +132,36 @@ fn warmed_refactor_and_solve_in_place_do_not_allocate() {
     let ax = a.mul_vec(&x).unwrap();
     for (l, r) in ax.iter().zip(&b) {
         assert!((l - r).abs() < 1e-12);
+    }
+}
+
+#[test]
+fn warmed_refactor_with_changed_pattern_does_not_allocate() {
+    // Warm on a tridiagonal pattern, then refactor a dense matrix (more
+    // nonzeros in L and U) and an arrow matrix that forces row pivoting.
+    let tridiagonal =
+        DMatrix::from_rows(&[&[4.0, 1.0, 0.0], &[1.0, 5.0, 2.0], &[0.0, 2.0, 6.0]]).unwrap();
+    let dense =
+        DMatrix::from_rows(&[&[3.0, -1.0, 2.0], &[1.0, 4.0, 0.5], &[-2.0, 1.0, 5.0]]).unwrap();
+    let arrow =
+        DMatrix::from_rows(&[&[0.0, 0.0, 1.0], &[0.0, 2.0, 1.0], &[3.0, 1.0, 1.0]]).unwrap();
+    let mut lu = LuFactor::new(&tridiagonal).unwrap();
+    let b = [1.0, -2.0, 0.5];
+    let mut x = vec![0.0; 3];
+    lu.solve_in_place(&b, &mut x);
+
+    for a in [&dense, &arrow, &tridiagonal] {
+        let allocs = allocations_in(|| {
+            lu.refactor_into(a).unwrap();
+            lu.solve_in_place(&b, &mut x);
+        });
+        assert_eq!(
+            allocs, 0,
+            "changed-pattern refactor+solve allocated {allocs} times"
+        );
+        let ax = a.mul_vec(&x).unwrap();
+        for (l, r) in ax.iter().zip(&b) {
+            assert!((l - r).abs() < 1e-12);
+        }
     }
 }

@@ -47,6 +47,132 @@ fn lu_solves_diag_dominant() {
     }
 }
 
+/// An in-test copy of the dense LU as it stood before the sparse kernels:
+/// partial pivoting, an elimination update over every column of the pivot
+/// row, and forward/back substitution over every entry of L and U.
+/// Returns the solution of `a·x = b` and the determinant, or `None` if a
+/// pivot is singular.
+fn reference_dense_lu_solve(a: &DMatrix, b: &[f64]) -> Option<(Vec<f64>, f64)> {
+    let n = a.rows();
+    let mut lu = a.as_slice().to_vec();
+    let mut perm: Vec<usize> = (0..n).collect();
+    let mut perm_sign = 1.0;
+    let threshold = dso_num::lu::SINGULARITY_THRESHOLD * a.max_abs().max(1.0);
+    for k in 0..n {
+        let mut pivot_row = k;
+        let mut pivot_val = lu[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = lu[i * n + k].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = i;
+            }
+        }
+        if pivot_val < threshold {
+            return None;
+        }
+        if pivot_row != k {
+            for j in 0..n {
+                lu.swap(k * n + j, pivot_row * n + j);
+            }
+            perm.swap(k, pivot_row);
+            perm_sign = -perm_sign;
+        }
+        let pivot = lu[k * n + k];
+        for i in (k + 1)..n {
+            let factor = lu[i * n + k] / pivot;
+            lu[i * n + k] = factor;
+            if factor != 0.0 {
+                for j in (k + 1)..n {
+                    lu[i * n + j] -= factor * lu[k * n + j];
+                }
+            }
+        }
+    }
+    let mut x = vec![0.0; n];
+    for i in 0..n {
+        let mut sum = b[perm[i]];
+        for j in 0..i {
+            sum -= lu[i * n + j] * x[j];
+        }
+        x[i] = sum;
+    }
+    for i in (0..n).rev() {
+        let mut sum = x[i];
+        for j in (i + 1)..n {
+            sum -= lu[i * n + j] * x[j];
+        }
+        x[i] = sum / lu[i * n + i];
+    }
+    let det = (0..n).fold(perm_sign, |d, i| d * lu[i * n + i]);
+    Some((x, det))
+}
+
+/// A random matrix with roughly `zero_frac` of its entries (diagonal
+/// included) planted as exact zeros and no diagonal dominance, so the
+/// factorization pivots and L/U carry scattered structural zeros.
+fn sparse_random(rng: &mut TestRng, n: usize, zero_frac: f64) -> DMatrix {
+    let mut a = DMatrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            if rng.next_f64() >= zero_frac {
+                a[(i, j)] = rng.range(-2.0, 2.0);
+            }
+        }
+    }
+    a
+}
+
+#[test]
+fn sparse_lu_is_bit_identical_to_dense_reference() {
+    // One factorization object is refactored over a stream of matrices of
+    // varying size and sparsity pattern, so stale pattern state from an
+    // earlier refactor would show up as a wrong bit.
+    let mut rng = TestRng::new(0x100c);
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let mut lu = LuFactor::empty();
+    let (mut solved, mut singular) = (0, 0);
+    for case in 0..4 * CASES {
+        let n = rng.index_range(1, 14);
+        let zero_frac = *rng.choose(&[0.0, 0.3, 0.6, 0.8]);
+        let a = sparse_random(&mut rng, n, zero_frac);
+        let b: Vec<f64> = (0..n)
+            .map(|_| {
+                if rng.next_f64() < zero_frac {
+                    0.0
+                } else {
+                    rng.range(-5.0, 5.0)
+                }
+            })
+            .collect();
+        match (lu.refactor_into(&a), reference_dense_lu_solve(&a, &b)) {
+            (Ok(()), Some((x_ref, det_ref))) => {
+                let mut x = vec![0.0; n];
+                lu.solve_in_place(&b, &mut x);
+                assert_eq!(bits(&x), bits(&x_ref), "case {case}: solution bits");
+                assert_eq!(
+                    lu.determinant().to_bits(),
+                    det_ref.to_bits(),
+                    "case {case}: determinant bits"
+                );
+                solved += 1;
+            }
+            (Err(NumError::SingularMatrix { .. }), None) => {
+                assert_eq!(lu.dim(), 0, "case {case}: failed refactor kept a factor");
+                singular += 1;
+            }
+            (ours, reference) => panic!(
+                "case {case}: sparse {:?} vs dense singular = {}",
+                ours,
+                reference.is_none()
+            ),
+        }
+    }
+    // Both outcomes were actually exercised.
+    assert!(solved > 2 * CASES, "only {solved} solvable cases");
+    assert!(singular > 0, "no singular case planted");
+}
+
 #[test]
 fn determinant_sign_consistent_with_permutation() {
     // det(A) of a diagonally dominant matrix with positive diagonal must at

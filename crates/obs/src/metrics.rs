@@ -610,11 +610,13 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-/// Drains the calling thread's shard into the global accumulator and
-/// exports every registered metric. Worker threads spawned by the
-/// campaign executor are scoped, so their shards have already drained by
-/// the time the campaign layer snapshots.
-pub fn snapshot() -> MetricsSnapshot {
+/// Drains the calling thread's shard into the global accumulator.
+///
+/// A thread's shard also drains when the thread exits, but that happens in
+/// a thread-local destructor, which [`std::thread::scope`] does not wait
+/// for: a snapshot taken right after a scope can miss a worker's records.
+/// Scoped workers therefore call this as their last step.
+pub fn flush() {
     with_local(|s| {
         if !s.is_empty() {
             let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
@@ -622,6 +624,14 @@ pub fn snapshot() -> MetricsSnapshot {
             reg.drained.merge(&taken);
         }
     });
+}
+
+/// Drains the calling thread's shard into the global accumulator and
+/// exports every registered metric. Worker threads spawned by the
+/// campaign executor flush their shards before their scope ends, so
+/// their records are in by the time the campaign layer snapshots.
+pub fn snapshot() -> MetricsSnapshot {
+    flush();
     let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
     let mut entries: Vec<MetricEntry> = reg
         .defs

@@ -833,7 +833,7 @@ impl<'c> Simulator<'c> {
                 }
             }
             debug_assert_eq!(n_node_vars + vsource_names.len(), n);
-            system.fold_bypass_counters(&mut stats);
+            system.fold_counters(&mut stats);
             return Ok(TranResult {
                 node_names: self.circuit.node_names().to_vec(),
                 vsource_names,
@@ -904,7 +904,7 @@ impl<'c> Simulator<'c> {
             samples.push(x.clone());
         }
         debug_assert_eq!(n_node_vars + vsource_names.len(), n);
-        system.fold_bypass_counters(&mut stats);
+        system.fold_counters(&mut stats);
         Ok(TranResult {
             node_names: self.circuit.node_names().to_vec(),
             vsource_names,
@@ -966,6 +966,7 @@ impl<'c> Simulator<'c> {
         if let Some(alt) = alt {
             // A failed probe (non-finite residual) disqualifies only that
             // candidate; the solve itself decides whether the step fails.
+            system.warm_probe_evals += 2;
             let g = solver.residual_norm(system, guess).unwrap_or(f64::INFINITY);
             let a = solver.residual_norm(system, alt).unwrap_or(f64::INFINITY);
             if a.is_finite() && a < g {
@@ -1239,11 +1240,11 @@ struct DiodeBypass {
 /// When `bypass_tol > 0` the system assembles incrementally: everything
 /// linear in `x` (gmin leak, resistors, capacitor companions, source
 /// patterns) is stamped once per `(time, companions, gmin)` configuration
-/// into `lin_jac`/`lin_rhs`, and each residual/Jacobian evaluation is a
-/// matrix-vector product (or memcpy) plus the nonlinear device stamps —
-/// with MOSFETs and diodes bypassed when their terminal voltages have not
-/// moved. `bypass_tol == 0` routes every evaluation through the legacy
-/// [`MnaSystem::stamp`] loop, bit-for-bit.
+/// into the sparse `base`/`lin_rhs`, and each residual/Jacobian evaluation
+/// is a sparse matrix-vector product (or a scatter) plus the nonlinear
+/// device stamps — with MOSFETs and diodes bypassed when their terminal
+/// voltages have not moved. `bypass_tol == 0` routes every evaluation
+/// through the legacy [`MnaSystem::stamp`] loop, bit-for-bit.
 struct MnaSystem<'a> {
     circuit: &'a Circuit,
     temp: f64,
@@ -1257,11 +1258,11 @@ struct MnaSystem<'a> {
     /// Device bypass tolerance in volts; `0` disables the incremental
     /// fast path entirely (see [`SolverTuning::bypass_tol`]).
     bypass_tol: f64,
-    /// `true` when `lin_jac`/`lin_rhs` no longer match the current
+    /// `true` when `base`/`lin_rhs` no longer match the current
     /// `(time, companions, gmin)` configuration.
     base_dirty: bool,
-    /// Constant (in `x`) part of the Jacobian.
-    lin_jac: DMatrix,
+    /// Constant (in `x`) part of the Jacobian, over the fixed pattern.
+    base: LinearBase,
     /// Constant (in `x`) part of the residual.
     lin_rhs: Vec<f64>,
     /// Per-device bypass anchors (index-aligned with the device list).
@@ -1269,6 +1270,143 @@ struct MnaSystem<'a> {
     diode_cache: Vec<Option<DiodeBypass>>,
     bypass_hits: usize,
     bypass_misses: usize,
+    /// Residual evaluations by kind since the last fold (see
+    /// [`MnaSystem::fold_counters`]).
+    residual_evals: usize,
+    exact_residual_evals: usize,
+    warm_probe_evals: usize,
+}
+
+/// Value slots of one linear device's base stamps, in stamp order:
+/// `[pp, nn, pn, np]` for a conductance between `p` and `n`, and
+/// `[(p, br), (br, p), (n, br), (br, n)]` for a voltage source with branch
+/// row `br`. Entries whose stamp would touch ground are never read.
+type DeviceSlots = [usize; 4];
+
+/// Placeholder for a slot whose stamp touches ground.
+const GROUND_SLOT: usize = usize::MAX;
+
+/// The linear base of the MNA Jacobian in compressed sparse rows. The
+/// pattern — the gmin diagonal, every resistor, every capacitor (with or
+/// without a companion) and every voltage-source pattern — depends on the
+/// topology alone, so it is computed once per system; only `vals` change
+/// from step to step.
+#[derive(Debug, Clone)]
+struct LinearBase {
+    /// Row `i` occupies `cols[ptr[i]..ptr[i + 1]]` (ascending) and the
+    /// same range of `vals`.
+    ptr: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+    /// Slot of each node row's diagonal (the gmin leak).
+    diag: Vec<usize>,
+    /// Per-device stamp slots (index-aligned with the device list).
+    devices: Vec<DeviceSlots>,
+}
+
+impl LinearBase {
+    fn new(circuit: &Circuit, branch_var: &[Option<usize>], n_unknowns: usize) -> Self {
+        let n_nodes = circuit.node_count() - 1;
+        let row = |node: NodeId| (!node.is_ground()).then(|| node.0 - 1);
+        // Every stamp position, as (row, col) per device in stamp order.
+        let positions = |idx: usize, device: &Device| -> [Option<(usize, usize)>; 4] {
+            match device {
+                Device::Resistor { p, n, .. } | Device::Capacitor { p, n, .. } => {
+                    let (p, n) = (row(*p), row(*n));
+                    let both = p.zip(n);
+                    [
+                        p.map(|p| (p, p)),
+                        n.map(|n| (n, n)),
+                        both,
+                        both.map(|(p, n)| (n, p)),
+                    ]
+                }
+                Device::VSource { p, n, .. } => {
+                    let br = branch_var[idx].expect("vsource has branch");
+                    let (p, n) = (row(*p), row(*n));
+                    [
+                        p.map(|p| (p, br)),
+                        p.map(|p| (br, p)),
+                        n.map(|n| (n, br)),
+                        n.map(|n| (br, n)),
+                    ]
+                }
+                _ => [None; 4],
+            }
+        };
+        let mut pattern: Vec<(usize, usize)> = (0..n_nodes).map(|i| (i, i)).collect();
+        for (idx, device) in circuit.devices().iter().enumerate() {
+            pattern.extend(positions(idx, device).into_iter().flatten());
+        }
+        pattern.sort_unstable();
+        pattern.dedup();
+        let mut ptr = vec![0; n_unknowns + 1];
+        for &(r, _) in &pattern {
+            ptr[r + 1] += 1;
+        }
+        for r in 0..n_unknowns {
+            ptr[r + 1] += ptr[r];
+        }
+        let cols: Vec<usize> = pattern.iter().map(|&(_, c)| c).collect();
+        let slot = |(r, c): (usize, usize)| {
+            ptr[r]
+                + cols[ptr[r]..ptr[r + 1]]
+                    .binary_search(&c)
+                    .expect("in pattern")
+        };
+        let diag = (0..n_nodes).map(|i| slot((i, i))).collect();
+        let devices = circuit
+            .devices()
+            .iter()
+            .enumerate()
+            .map(|(idx, device)| positions(idx, device).map(|pos| pos.map_or(GROUND_SLOT, slot)))
+            .collect();
+        LinearBase {
+            vals: vec![0.0; cols.len()],
+            ptr,
+            cols,
+            diag,
+            devices,
+        }
+    }
+
+    /// Stamps a two-terminal conductance into its slots, in the order of
+    /// the dense stamp: `pp`, `nn`, then `pn` and `np`.
+    fn conductance(&mut self, idx: usize, p: NodeId, n: NodeId, g: f64) {
+        let [pp, nn, pn, np] = self.devices[idx];
+        if !p.is_ground() {
+            self.vals[pp] += g;
+        }
+        if !n.is_ground() {
+            self.vals[nn] += g;
+        }
+        if !p.is_ground() && !n.is_ground() {
+            self.vals[pn] -= g;
+            self.vals[np] -= g;
+        }
+    }
+
+    /// `out = base·x + rhs`, each row summed over its pattern in ascending
+    /// column order.
+    fn mul_add(&self, x: &[f64], rhs: &[f64], out: &mut [f64]) {
+        for (i, (o, r)) in out.iter_mut().zip(rhs).enumerate() {
+            let range = self.ptr[i]..self.ptr[i + 1];
+            let mut sum = 0.0;
+            for (&j, &v) in self.cols[range.clone()].iter().zip(&self.vals[range]) {
+                sum += v * x[j];
+            }
+            *o = sum + r;
+        }
+    }
+
+    /// Writes the base entries into a cleared dense matrix.
+    fn scatter(&self, jac: &mut DMatrix) {
+        for i in 0..self.ptr.len() - 1 {
+            for p in self.ptr[i]..self.ptr[i + 1] {
+                jac[(i, self.cols[p])] = self.vals[p];
+            }
+        }
+    }
 }
 
 impl<'a> MnaSystem<'a> {
@@ -1282,6 +1420,7 @@ impl<'a> MnaSystem<'a> {
                 next += 1;
             }
         }
+        let base = LinearBase::new(circuit, &branch_var, next);
         MnaSystem {
             circuit,
             temp,
@@ -1292,12 +1431,15 @@ impl<'a> MnaSystem<'a> {
             n_unknowns: next,
             bypass_tol: 0.0,
             base_dirty: true,
-            lin_jac: DMatrix::zeros(next, next),
+            base,
             lin_rhs: vec![0.0; next],
             mos_cache: vec![None; circuit.device_count()],
             diode_cache: vec![None; circuit.device_count()],
             bypass_hits: 0,
             bypass_misses: 0,
+            residual_evals: 0,
+            exact_residual_evals: 0,
+            warm_probe_evals: 0,
         }
     }
 
@@ -1311,46 +1453,64 @@ impl<'a> MnaSystem<'a> {
         }
     }
 
-    /// Drains the bypass counters into a stats tally (and the process-wide
-    /// metrics), leaving them zeroed so a system shared across phases
-    /// never double-counts.
-    fn fold_bypass_counters(&mut self, stats: &mut RecoveryStats) {
-        if self.bypass_hits > 0 {
-            dso_obs::counter!("spice.bypass_hits").add(self.bypass_hits as u64);
-        }
-        if self.bypass_misses > 0 {
-            dso_obs::counter!("spice.bypass_misses").add(self.bypass_misses as u64);
+    /// Drains the bypass counters into a stats tally and, with the
+    /// residual-evaluation counters, into the process-wide metrics,
+    /// leaving them zeroed so a system shared across phases never
+    /// double-counts.
+    fn fold_counters(&mut self, stats: &mut RecoveryStats) {
+        for (counter, count) in [
+            (dso_obs::counter!("spice.bypass_hits"), self.bypass_hits),
+            (dso_obs::counter!("spice.bypass_misses"), self.bypass_misses),
+            (
+                dso_obs::counter!("spice.residual_evals"),
+                self.residual_evals,
+            ),
+            (
+                dso_obs::counter!("spice.exact_residual_evals"),
+                self.exact_residual_evals,
+            ),
+            (
+                dso_obs::counter!("spice.warm_probe_evals"),
+                self.warm_probe_evals,
+            ),
+        ] {
+            if count > 0 {
+                counter.add(count as u64);
+            }
         }
         stats.bypass_hits += self.bypass_hits;
         stats.bypass_misses += self.bypass_misses;
         self.bypass_hits = 0;
         self.bypass_misses = 0;
+        self.residual_evals = 0;
+        self.exact_residual_evals = 0;
+        self.warm_probe_evals = 0;
     }
 
     /// Rebuilds the linear base if the step configuration changed since it
     /// was last stamped. Everything whose contribution is affine in `x` —
     /// gmin leak, resistors, capacitor companions, source values, voltage
-    /// source patterns — lands here once; per-iteration evaluations then
-    /// start from a matvec/memcpy of it instead of re-stamping.
+    /// source patterns — lands here once, with the same `+=` sequence per
+    /// entry as a dense stamp; per-iteration evaluations then start from a
+    /// sparse matvec/scatter of it instead of re-stamping.
     fn ensure_base(&mut self) {
         if !self.base_dirty {
             return;
         }
-        let n_nodes = self.circuit.node_count() - 1;
-        self.lin_jac.clear();
-        self.lin_rhs.iter_mut().for_each(|r| *r = 0.0);
-        for i in 0..n_nodes {
-            self.lin_jac[(i, i)] += self.gmin;
+        self.base.vals.fill(0.0);
+        self.lin_rhs.fill(0.0);
+        for &slot in &self.base.diag {
+            self.base.vals[slot] += self.gmin;
         }
         for (idx, device) in self.circuit.devices().iter().enumerate() {
             match device {
                 Device::Resistor { p, n, resistance } => {
                     let g = 1.0 / resistance;
-                    Self::base_conductance(&mut self.lin_jac, *p, *n, g);
+                    self.base.conductance(idx, *p, *n, g);
                 }
                 Device::Capacitor { p, n, .. } => {
                     if let Some(comp) = self.companions[idx] {
-                        Self::base_conductance(&mut self.lin_jac, *p, *n, comp.geq);
+                        self.base.conductance(idx, *p, *n, comp.geq);
                         if !p.is_ground() {
                             self.lin_rhs[p.0 - 1] -= comp.ieq;
                         }
@@ -1361,13 +1521,14 @@ impl<'a> MnaSystem<'a> {
                 }
                 Device::VSource { p, n, waveform } => {
                     let br = self.branch_var[idx].expect("vsource has branch");
+                    let [p_br, br_p, n_br, br_n] = self.base.devices[idx];
                     if !p.is_ground() {
-                        self.lin_jac[(p.0 - 1, br)] += 1.0;
-                        self.lin_jac[(br, p.0 - 1)] += 1.0;
+                        self.base.vals[p_br] += 1.0;
+                        self.base.vals[br_p] += 1.0;
                     }
                     if !n.is_ground() {
-                        self.lin_jac[(n.0 - 1, br)] -= 1.0;
-                        self.lin_jac[(br, n.0 - 1)] -= 1.0;
+                        self.base.vals[n_br] -= 1.0;
+                        self.base.vals[br_n] -= 1.0;
                     }
                     self.lin_rhs[br] -= waveform.eval(self.time);
                 }
@@ -1385,20 +1546,6 @@ impl<'a> MnaSystem<'a> {
             }
         }
         self.base_dirty = false;
-    }
-
-    /// Stamps a two-terminal conductance pattern into a matrix.
-    fn base_conductance(jac: &mut DMatrix, p: NodeId, n: NodeId, g: f64) {
-        if !p.is_ground() {
-            jac[(p.0 - 1, p.0 - 1)] += g;
-        }
-        if !n.is_ground() {
-            jac[(n.0 - 1, n.0 - 1)] += g;
-        }
-        if !p.is_ground() && !n.is_ground() {
-            jac[(p.0 - 1, n.0 - 1)] -= g;
-            jac[(n.0 - 1, p.0 - 1)] -= g;
-        }
     }
 
     /// Stamps the nonlinear devices (MOSFETs, diodes, switches) on top of
@@ -1548,10 +1695,7 @@ impl<'a> MnaSystem<'a> {
     /// The incremental residual: linear base matvec plus nonlinear stamps.
     fn fast_residual(&mut self, x: &[f64], out: &mut [f64], force_eval: bool) {
         self.ensure_base();
-        self.lin_jac.mul_vec_into(x, out);
-        for (o, r) in out.iter_mut().zip(&self.lin_rhs) {
-            *o += *r;
-        }
+        self.base.mul_add(x, &self.lin_rhs, out);
         self.stamp_nonlinear(x, Some(out), None, force_eval);
     }
 
@@ -1725,6 +1869,7 @@ impl NonlinearSystem for MnaSystem<'_> {
     }
 
     fn residual(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), NumError> {
+        self.residual_evals += 1;
         if self.bypass_tol > 0.0 {
             self.fast_residual(x, out, false);
             Ok(())
@@ -1736,7 +1881,7 @@ impl NonlinearSystem for MnaSystem<'_> {
     fn jacobian(&mut self, x: &[f64], jac: &mut DMatrix) -> Result<(), NumError> {
         if self.bypass_tol > 0.0 {
             self.ensure_base();
-            jac.copy_from(&self.lin_jac);
+            self.base.scatter(jac);
             self.stamp_nonlinear(x, None, Some(jac), false);
             Ok(())
         } else {
@@ -1749,6 +1894,7 @@ impl NonlinearSystem for MnaSystem<'_> {
     }
 
     fn residual_exact(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), NumError> {
+        self.exact_residual_evals += 1;
         if self.bypass_tol > 0.0 {
             // Evaluate every device and refresh the anchors: acceptance is
             // always judged on the true residual, and the refreshed caches
@@ -2253,5 +2399,148 @@ mod tests {
         assert_eq!(i.len(), 11);
         // Ground waveform is all zeros.
         assert!(result.voltage("0").unwrap().iter().all(|&v| v == 0.0));
+    }
+
+    /// The paper's DRAM column (`ColumnDesign::default()` with a 200 kΩ
+    /// cell open on the true side), exported to deck text.
+    const PAPER_COLUMN: &str = include_str!("../tests/data/paper_column.cir");
+
+    /// A test-only copy of the linear base as `ensure_base` stamped it
+    /// before the slot base: a dense matrix indexed entry by entry.
+    fn dense_base(system: &MnaSystem<'_>) -> DMatrix {
+        let n = system.n_unknowns;
+        let mut jac = DMatrix::zeros(n, n);
+        for i in 0..system.circuit.node_count() - 1 {
+            jac[(i, i)] += system.gmin;
+        }
+        let conductance = |jac: &mut DMatrix, p: NodeId, n: NodeId, g: f64| {
+            if !p.is_ground() {
+                jac[(p.0 - 1, p.0 - 1)] += g;
+            }
+            if !n.is_ground() {
+                jac[(n.0 - 1, n.0 - 1)] += g;
+            }
+            if !p.is_ground() && !n.is_ground() {
+                jac[(p.0 - 1, n.0 - 1)] -= g;
+                jac[(n.0 - 1, p.0 - 1)] -= g;
+            }
+        };
+        for (idx, device) in system.circuit.devices().iter().enumerate() {
+            match device {
+                Device::Resistor { p, n, resistance } => {
+                    conductance(&mut jac, *p, *n, 1.0 / resistance);
+                }
+                Device::Capacitor { p, n, .. } => {
+                    if let Some(comp) = system.companions[idx] {
+                        conductance(&mut jac, *p, *n, comp.geq);
+                    }
+                }
+                Device::VSource { p, n, .. } => {
+                    let br = system.branch_var[idx].unwrap();
+                    if !p.is_ground() {
+                        jac[(p.0 - 1, br)] += 1.0;
+                        jac[(br, p.0 - 1)] += 1.0;
+                    }
+                    if !n.is_ground() {
+                        jac[(n.0 - 1, br)] -= 1.0;
+                        jac[(br, n.0 - 1)] -= 1.0;
+                    }
+                }
+                _ => {}
+            }
+        }
+        jac
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// The residual and Jacobian over the slot base against the dense base:
+    /// a dense `Σ a·x` matvec over every column plus `lin_rhs` and the
+    /// nonlinear stamps, and a dense base copy plus the nonlinear stamps.
+    fn assert_slot_base_matches_dense(system: &mut MnaSystem<'_>, x: &[f64], what: &str) {
+        let n = system.n_unknowns;
+        system.ensure_base();
+        let dense = dense_base(system);
+        let mut expected: Vec<f64> = dense
+            .as_slice()
+            .chunks(n)
+            .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
+            .collect();
+        for (e, r) in expected.iter_mut().zip(&system.lin_rhs) {
+            *e += *r;
+        }
+        system.stamp_nonlinear(x, Some(&mut expected), None, true);
+        let mut got = vec![f64::NAN; n];
+        system.fast_residual(x, &mut got, true);
+        assert_eq!(bits(&got), bits(&expected), "{what}: residual bits");
+
+        // Both Jacobians stamp the nonlinear devices from the anchors the
+        // exact residuals above just refreshed at `x`.
+        let mut expected_jac = dense;
+        system.stamp_nonlinear(x, None, Some(&mut expected_jac), false);
+        let mut jac = DMatrix::zeros(n, n);
+        system.jacobian(x, &mut jac).unwrap();
+        assert_eq!(
+            bits(jac.as_slice()),
+            bits(expected_jac.as_slice()),
+            "{what}: Jacobian bits"
+        );
+    }
+
+    #[test]
+    fn slot_base_is_bit_identical_to_dense_base_on_paper_column() {
+        let mut ckt = crate::netlist::parse(PAPER_COLUMN).unwrap().circuit;
+        for (source, v) in [("Vdd", 2.4), ("Vbleq", 1.2), ("Vref", 1.2), ("Vwlt", 3.3)] {
+            ckt.set_waveform(source, Waveform::Dc(v)).unwrap();
+        }
+        let sim = Simulator::new(&ckt);
+        let op = sim.dc_operating_point().unwrap();
+        let mut system = sim.make_system(&ckt);
+        assert!(
+            system.bypass_tol > 0.0,
+            "default tuning takes the fast path"
+        );
+        let n = system.unknowns();
+        assert_eq!(n, 42, "the paper column has 42 unknowns");
+        // Perturbed states, some with exact zeros planted in them.
+        let mut rng = dso_num::testing::TestRng::new(0x5107);
+        let mut states = vec![op.as_slice().to_vec(), vec![0.0; n]];
+        for k in 0..6 {
+            let state = op
+                .as_slice()
+                .iter()
+                .map(|v| match rng.index(4) {
+                    0 if k % 2 == 0 => 0.0,
+                    _ => v + rng.range(-0.5, 0.5),
+                })
+                .collect();
+            states.push(state);
+        }
+
+        // DC: capacitors open, no companions.
+        for (k, x) in states.iter().enumerate() {
+            assert_slot_base_matches_dense(&mut system, x, &format!("DC state {k}"));
+        }
+        // Transient: a companion on every capacitor, refreshed per state.
+        for (k, x) in states.iter().enumerate() {
+            system.time = 1e-9 * (k + 1) as f64;
+            system.base_dirty = true;
+            for (idx, device) in ckt.devices().iter().enumerate() {
+                if let Device::Capacitor {
+                    p, n, capacitance, ..
+                } = device
+                {
+                    let v = MnaSystem::volt(x, *p) - MnaSystem::volt(x, *n);
+                    system.companions[idx] = Some(
+                        Method::Trapezoidal
+                            .companion(*capacitance, 1e-11, v, 1e-6 * k as f64)
+                            .unwrap(),
+                    );
+                }
+            }
+            assert_slot_base_matches_dense(&mut system, x, &format!("transient state {k}"));
+        }
     }
 }
